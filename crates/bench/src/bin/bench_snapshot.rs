@@ -18,28 +18,9 @@
 //! `--out` gets the full snapshot (wall-clock included); the optional
 //! `--deterministic-out` gets only the thread-count-invariant fields, which
 //! CI byte-diffs across runs and thread settings.
-//!
-//! **`--batch` mode (BENCH_pr8, DESIGN.md §14)** replays a small-`n`
-//! seed-sweep workload through the service's fused dispatch path
-//! (`cdd_gpu::run_gpu_solve_batch`, the call the worker loop makes after
-//! draining its batching window) at several window settings and with delta
-//! evaluation on, measuring how cross-request launch fusion amortizes the
-//! per-kernel dispatch overhead that dominates small-`n` wall time. Every
-//! setting's sorted outcome set is hashed and asserted byte-identical to
-//! the unbatched baseline before the snapshot is written:
-//!
-//! ```text
-//! cargo run --release -p cdd-bench --bin bench_snapshot -- --batch \
-//!     [--requests 64] [--n 12] [--iterations 120] [--seed 2016] \
-//!     [--windows 1,4,8] [--repeats 2] [--out BENCH_pr8.json]
-//! ```
 
 use cdd_bench::{results_dir, Args};
-use cdd_core::{Algorithm, Instance};
-use cdd_gpu::{
-    run_gpu_sa, run_gpu_solve_batch, Backend, DeltaConfig, GpuRunResult, GpuSaParams,
-    GpuSolveSpec,
-};
+use cdd_gpu::{run_gpu_sa, Backend, GpuRunResult, GpuSaParams};
 use cdd_instances::{cdd_instance, InstanceId};
 use cuda_sim::SimParallelism;
 use std::fmt::Write as _;
@@ -94,17 +75,6 @@ struct Measured {
     det: Deterministic,
 }
 
-/// One measured service replay: wall time plus the deterministic residue
-/// (outcome hash, fusion tallies) the snapshot reports.
-struct BatchRun {
-    batch_window: usize,
-    delta: bool,
-    wall_seconds: f64,
-    batch_launches: u64,
-    fused_requests: u64,
-    outcome_sha: u64,
-}
-
 /// FNV-1a over the sorted per-request outcome CSV — the same digest shape
 /// BENCH_pr7 pinned for the net tier, so the two snapshots read alike.
 fn outcome_sha(outcomes: &[(usize, GpuRunResult)]) -> u64 {
@@ -123,164 +93,6 @@ fn outcome_sha(outcomes: &[(usize, GpuRunResult)]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-/// Replay a `requests`-deep seed-sweep in dispatch windows of
-/// `batch_window`, exactly as the service worker drains its queue: windows
-/// of one go through the solo pipeline, wider windows through the fused
-/// batch driver (`cdd_gpu::run_gpu_solve_batch`). Returns the wall time,
-/// the per-request outcome set, and the fusion tallies the service would
-/// report as `timing_batch_*`.
-fn replay_windows(
-    requests: usize,
-    n: usize,
-    iterations: u64,
-    seed: u64,
-    batch_window: usize,
-    delta: bool,
-) -> (f64, Vec<(usize, GpuRunResult)>, u64, u64) {
-    let inst = cdd_instance(n, 1, 0.6);
-    let spec = GpuSolveSpec {
-        blocks: 1,
-        block_size: 32,
-        delta: DeltaConfig { enabled: delta, resync_every: 0 },
-        ..GpuSolveSpec::default()
-    };
-    let entries: Vec<(Instance, u64)> =
-        (0..requests).map(|i| (inst.clone(), seed + i as u64)).collect();
-
-    let mut outcomes = Vec::with_capacity(requests);
-    let mut batch_launches = 0u64;
-    let mut fused_requests = 0u64;
-    let start = Instant::now();
-    for (w, chunk) in entries.chunks(batch_window.max(1)).enumerate() {
-        let results = run_gpu_solve_batch(chunk, Algorithm::Sa, iterations, &spec)
-            .expect("replay window solves cleanly");
-        if chunk.len() > 1 {
-            batch_launches += 1;
-            fused_requests += chunk.len() as u64;
-        }
-        let base = w * batch_window.max(1);
-        outcomes.extend(results.into_iter().enumerate().map(|(j, r)| (base + j, r)));
-    }
-    let wall = start.elapsed().as_secs_f64();
-    (wall, outcomes, batch_launches, fused_requests)
-}
-
-/// `--batch` mode: the BENCH_pr8 snapshot (cross-request launch fusion and
-/// delta evaluation on the small-`n` service replay workload).
-fn batch_snapshot(args: &Args) {
-    let requests = args.get_or("requests", 64usize);
-    let n = args.get_or("n", 12usize);
-    let iterations = args.get_or("iterations", 120u64);
-    let seed = args.get_or("seed", 2016u64);
-    let repeats = args.get_or("repeats", 2usize).max(1);
-    let windows = args.get_list_or("windows", &[1usize, 4, 8]);
-    let out = args
-        .get("out")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| results_dir().join("BENCH_pr8.json"));
-
-    let host_cores =
-        std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    eprintln!(
-        "bench_snapshot --batch: {requests} requests, n={n}, {iterations} generations, \
-         windows {windows:?}, {repeats} repeats, host has {host_cores} core(s)"
-    );
-
-    // Unbatched/full-eval baseline first, then each fusion window, then
-    // delta evaluation solo and combined with the widest window.
-    let widest = windows.iter().copied().max().unwrap_or(1).max(1);
-    let mut settings: Vec<(usize, bool)> = Vec::new();
-    if !windows.contains(&1) {
-        settings.push((1, false));
-    }
-    settings.extend(windows.iter().map(|&w| (w.max(1), false)));
-    settings.push((1, true));
-    if widest > 1 {
-        settings.push((widest, true));
-    }
-
-    let mut runs: Vec<BatchRun> = Vec::new();
-    for (window, delta) in settings {
-        let mut best_wall = f64::INFINITY;
-        let mut residue = None;
-        for _ in 0..repeats {
-            let (wall, outcomes, launches, fused) =
-                replay_windows(requests, n, iterations, seed, window, delta);
-            best_wall = best_wall.min(wall);
-            residue = Some((outcome_sha(&outcomes), launches, fused));
-        }
-        let (sha, batch_launches, fused_requests) = residue.expect("repeats >= 1");
-
-        // The determinism contract, enforced before anything is written:
-        // every setting must reproduce the unbatched baseline's outcome set.
-        if let Some(base) = runs.first() {
-            assert!(
-                base.outcome_sha == sha,
-                "BYTE-IDENTITY VIOLATION: window={window} delta={delta} \
-                 diverged from the unbatched baseline"
-            );
-        }
-        eprintln!(
-            "  window={window:>2} delta={delta:<5} wall {best_wall:>8.4}s  \
-             fused {fused_requests:>3} req / {batch_launches:>3} launches  sha {sha:#018x}"
-        );
-        runs.push(BatchRun {
-            batch_window: window,
-            delta,
-            wall_seconds: best_wall,
-            batch_launches,
-            fused_requests,
-            outcome_sha: sha,
-        });
-    }
-
-    let base_wall = runs.first().expect("baseline measured").wall_seconds;
-    let mut rows = String::new();
-    for r in &runs {
-        if !rows.is_empty() {
-            rows.push_str(",\n    ");
-        }
-        let _ = write!(
-            rows,
-            "{{\"batch_window\":{},\"delta_eval\":{},\"wall_seconds\":{:?},\
-             \"speedup_vs_unbatched\":{:?},\"batch_launches\":{},\
-             \"fused_requests\":{},\"outcome_sha\":\"{:#018x}\",\
-             \"byte_identical_to_unbatched\":true}}",
-            r.batch_window,
-            r.delta,
-            r.wall_seconds,
-            base_wall / r.wall_seconds,
-            r.batch_launches,
-            r.fused_requests,
-            r.outcome_sha,
-        );
-    }
-    let snapshot = format!(
-        "{{\n  \"bench\": \"pr8_batched_launches\",\n  \"pipeline\": \"gpu_sa_batch\",\n  \
-         \"host\": {{\"cores\": {host_cores}, \"os\": {:?}, \"arch\": {:?}}},\n  \
-         \"config\": {{\"requests\": {requests}, \"n\": {n}, \"iterations\": {iterations}, \
-         \"seed\": {seed}, \"blocks\": 1, \"block_size\": 32, \"devices\": 1, \
-         \"repeats\": {repeats}}},\n  \
-         \"note\": \"Seed-sweep replay of {requests} small-n SA requests through the \
-         service worker's dispatch path on one device. Fusion packs up to batch_window \
-         requests into one launch sequence, dividing the per-kernel dispatch overhead \
-         (1 + 4*iterations launches per solo run) across the batch; delta evaluation is \
-         outcome-invariant and roughly wall-neutral here because the modeled pipeline \
-         is compute-bound (DESIGN.md 14). Outcome sets are asserted byte-identical to \
-         the unbatched baseline before this file is written.\",\n  \
-         \"runs\": [\n    {rows}\n  ]\n}}\n",
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-    );
-    if let Some(dir) = out.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output dir");
-        }
-    }
-    std::fs::write(&out, &snapshot).expect("write snapshot");
-    println!("snapshot: {}", out.display());
 }
 
 /// One (n, ensemble) cell of the `--backend` snapshot: both backends run
@@ -422,10 +234,6 @@ fn backend_snapshot(args: &Args) {
 
 fn main() {
     let args = Args::parse();
-    if args.flag("batch") {
-        batch_snapshot(&args);
-        return;
-    }
     if args.flag("backend") {
         backend_snapshot(&args);
         return;

@@ -43,19 +43,8 @@ pub struct AcceptKernel {
     /// Current temperature (cooled on the host between generations, as the
     /// exponential schedule of Algorithm 1 prescribes).
     pub temperature: f64,
-    /// Per-segment temperatures for fused batch launches: request `r` owns
-    /// threads `[r·segment, (r+1)·segment)` and cools independently, so the
-    /// fused acceptance applies `temps[gid / segment]`. `None` (every
-    /// single-request pipeline) applies `temperature` to all threads.
-    pub segment_temps: Option<(usize, Vec<f64>)>,
     /// Optional convergence-telemetry probe; `None` when telemetry is off.
     pub telemetry: Option<SaProbe>,
-    /// Optional per-thread sticky dirty flags for the delta-fitness path:
-    /// set to 1 when the move is accepted (the committed row diverged from
-    /// the thread's delta cache); cleared only by the delta kernel when it
-    /// rebuilds the cache. `None` keeps writes — and modeled cost —
-    /// bit-identical to the full-evaluation path.
-    pub flags: Option<Buf<u32>>,
 }
 
 impl Kernel for AcceptKernel {
@@ -85,13 +74,6 @@ impl Kernel for AcceptKernel {
             energy = energy.clamp(0, CORRUPT_ENERGY);
             energy_new = energy_new.clamp(0, CORRUPT_ENERGY);
         }
-        let temperature = match &self.segment_temps {
-            Some((segment, temps)) => {
-                ctx.charge_alu(1); // the segment-index division
-                temps[gid / segment]
-            }
-            None => self.temperature,
-        };
         let u = rng.next_f64();
         ctx.charge_special(1); // exp() in the metropolis rule
         ctx.charge_alu(4);
@@ -107,7 +89,7 @@ impl Kernel for AcceptKernel {
             best = energy;
         }
 
-        let accepted = metropolis_accept(energy, energy_new, temperature, u);
+        let accepted = metropolis_accept(energy, energy_new, self.temperature, u);
         if accepted {
             ctx.copy_row(self.candidate, gid * n, self.current, gid * n, n);
             ctx.write(self.energies, gid, energy_new);
@@ -116,14 +98,6 @@ impl Kernel for AcceptKernel {
                 ctx.copy_row(self.current, gid * n, self.best_rows, gid * n, n);
                 ctx.write(self.best_energies, gid, energy_new);
                 best = energy_new;
-            }
-        }
-
-        if let Some(flags) = self.flags {
-            // Sticky: acceptance marks the row changed; only the delta
-            // kernel's cache rebuild clears the flag.
-            if accepted {
-                ctx.write(flags, gid, 1);
             }
         }
 
@@ -179,9 +153,7 @@ mod tests {
             n,
             ensemble: t,
             temperature,
-            segment_temps: None,
             telemetry: None,
-            flags: None,
         };
         Fixture { gpu, k }
     }

@@ -187,7 +187,11 @@ impl Kernel for FitnessKernel {
             return;
         }
         let d = ctx.read_const(self.prob.scalars, 0);
-        debug_assert_eq!(ctx.read_const(self.prob.scalars, 1), n as i64);
+        // Read in every build profile: a constant read charges modeled ALU
+        // time, so a debug-only read would make the modeled clock depend on
+        // the profile.
+        let n_const = ctx.read_const(self.prob.scalars, 1);
+        debug_assert_eq!(n_const, n as i64);
 
         self.staged.with_slot(ctx.block_idx(), |shared| {
             self.scratch.with_slot(gid, |scratch| {

@@ -9,10 +9,9 @@
 //! ([`GpuSolveSpec`]), leaving the algorithm-specific tuning knobs
 //! (cooling, `Pert`, swarm coefficients) at the paper's defaults.
 
-use crate::batch::{run_gpu_sa_batch, BatchEntry};
 use crate::dpso_pipeline::{run_gpu_dpso, GpuDpsoParams};
 use crate::recovery::RecoveryPolicy;
-use crate::sa_pipeline::{run_gpu_sa, DeltaConfig, GpuRunResult, GpuSaParams};
+use crate::sa_pipeline::{run_gpu_sa, GpuRunResult, GpuSaParams};
 use cdd_core::{Algorithm, Instance, SuiteError};
 use cuda_sim::{Backend, DeviceSpec, FaultPlan, TelemetryConfig};
 
@@ -34,10 +33,6 @@ pub struct GpuSolveSpec {
     /// Convergence-telemetry policy (disabled by default; sampling changes
     /// no result — see `cuda_sim::telemetry`).
     pub telemetry: TelemetryConfig,
-    /// Incremental (delta) candidate scoring for the SA pipelines — outcome-
-    /// identical to full evaluation by contract; DPSO ignores it (personal-
-    /// best maintenance needs the full score anyway).
-    pub delta: DeltaConfig,
     /// Execution backend: the simulator (default) or the native host path.
     /// Byte-identical outcomes by contract; fault injection and telemetry
     /// are sim-only and rejected on native.
@@ -53,7 +48,6 @@ impl Default for GpuSolveSpec {
             fault: None,
             recovery: RecoveryPolicy::default(),
             telemetry: TelemetryConfig::disabled(),
-            delta: DeltaConfig::default(),
             backend: Backend::default(),
         }
     }
@@ -89,7 +83,6 @@ pub fn run_gpu_solve(
                 fault: spec.fault.clone(),
                 recovery: spec.recovery.clone(),
                 telemetry: spec.telemetry,
-                delta: spec.delta,
                 backend: spec.backend,
                 ..Default::default()
             },
@@ -109,48 +102,6 @@ pub fn run_gpu_solve(
                 ..Default::default()
             },
         ),
-    }
-}
-
-/// Run several solves (each an instance + seed, sharing `algorithm`,
-/// `iterations` and `spec`) as one fused device run when the pipeline
-/// supports it. SA requests fuse via [`run_gpu_sa_batch`] — one grid, one
-/// launch sequence, byte-identical per-request outcomes; DPSO requests (and
-/// SA groups the fusion preconditions reject, e.g. under a fault plan or
-/// with telemetry on) run solo in order. Results come back in entry order
-/// either way.
-pub fn run_gpu_solve_batch(
-    entries: &[(Instance, u64)],
-    algorithm: Algorithm,
-    iterations: u64,
-    spec: &GpuSolveSpec,
-) -> Result<Vec<GpuRunResult>, SuiteError> {
-    match algorithm {
-        Algorithm::Sa => {
-            let batch: Vec<BatchEntry> = entries
-                .iter()
-                .map(|(instance, seed)| BatchEntry { instance: instance.clone(), seed: *seed })
-                .collect();
-            run_gpu_sa_batch(
-                &batch,
-                &GpuSaParams {
-                    blocks: spec.blocks,
-                    block_size: spec.block_size,
-                    iterations,
-                    device: spec.device.clone(),
-                    fault: spec.fault.clone(),
-                    recovery: spec.recovery.clone(),
-                    telemetry: spec.telemetry,
-                    delta: spec.delta,
-                    backend: spec.backend,
-                    ..Default::default()
-                },
-            )
-        }
-        Algorithm::Dpso => entries
-            .iter()
-            .map(|(inst, seed)| run_gpu_solve(inst, algorithm, iterations, *seed, spec))
-            .collect(),
     }
 }
 
@@ -195,37 +146,6 @@ mod tests {
         assert_eq!(unified.objective, direct.objective);
         assert_eq!(unified.best, direct.best);
         assert_eq!(unified.modeled_seconds, direct.modeled_seconds);
-    }
-
-    #[test]
-    fn solve_batch_matches_per_entry_solo_solves() {
-        let spec = small_spec();
-        let entries = vec![
-            (Instance::paper_example_cdd(), 21),
-            (Instance::paper_example_cdd(), 22),
-            (Instance::paper_example_cdd(), 23),
-        ];
-        let fused = run_gpu_solve_batch(&entries, Algorithm::Sa, 90, &spec).unwrap();
-        assert_eq!(fused.len(), entries.len());
-        for ((inst, seed), b) in entries.iter().zip(&fused) {
-            let solo = run_gpu_solve(inst, Algorithm::Sa, 90, *seed, &spec).unwrap();
-            assert_eq!(b.best, solo.best, "seed {seed}");
-            assert_eq!(b.objective, solo.objective);
-            assert_eq!(b.evaluations, solo.evaluations);
-        }
-    }
-
-    #[test]
-    fn dpso_batch_runs_solo_in_order() {
-        let spec = small_spec();
-        let entries =
-            vec![(Instance::paper_example_cdd(), 1), (Instance::paper_example_cdd(), 2)];
-        let batched = run_gpu_solve_batch(&entries, Algorithm::Dpso, 60, &spec).unwrap();
-        for ((inst, seed), b) in entries.iter().zip(&batched) {
-            let solo = run_gpu_solve(inst, Algorithm::Dpso, 60, *seed, &spec).unwrap();
-            assert_eq!(b.objective, solo.objective);
-            assert_eq!(b.best, solo.best);
-        }
     }
 
     #[test]

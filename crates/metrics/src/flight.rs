@@ -33,7 +33,7 @@ pub struct FlightHop {
     /// `retry`, `attempt`, `kernel`, …).
     pub name: String,
     /// Deterministic key/value payload (breaker state, retry ordinal,
-    /// batch size, shard choice, …). Rendered into trace `args`.
+    /// shard choice, …). Rendered into trace `args`.
     pub detail: Vec<(String, String)>,
     /// Duration on the layer's modeled/logical clock, microseconds.
     pub modeled_us: f64,

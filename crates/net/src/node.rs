@@ -291,6 +291,9 @@ fn handle_connection(shared: &Arc<NodeShared>, stream: TcpStream) {
         match frame {
             Frame::Request(req) => {
                 requests_on_conn += 1;
+                // Drop finished waiters as we go, so a long-lived connection
+                // holds only the threads still in flight.
+                waiters.retain(|h| !h.is_finished());
                 handle_request(shared, &writer, req, &mut waiters);
             }
             Frame::Ping { nonce } => send(shared, &writer, &Frame::Pong { nonce }),

@@ -8,7 +8,6 @@
 //!     [--backend sim|native] \
 //!     [--devices 4] [--queue-capacity N] [--cache-capacity 256] \
 //!     [--blocks 1] [--block-size 64] [--seed 2016] [--window W] [--deadline-ms D] \
-//!     [--batch-window K] [--delta-eval] [--delta-resync N] \
 //!     [--fault-seed S --launch-failure-rate P --bit-flip-rate P --hang-rate P] \
 //!     [--chaos] [--worker-crash-rate P] [--worker-crash-horizon N] \
 //!     [--retry-budget N] [--breaker-threshold N] [--breaker-open-ms MS] \
@@ -52,18 +51,6 @@
 //! anomaly counters, and a captured trace gains per-request best-so-far
 //! counter tracks. Sampling never changes a result (DESIGN.md §10).
 //!
-//! `--batch-window K` lets a worker fuse up to `K` adjacent compatible SA
-//! requests from the queue into one device launch sequence, amortizing the
-//! per-kernel launch overhead that dominates small-`n` traffic.
-//! `--delta-eval` switches SA candidate scoring to the incremental delta
-//! kernel (`--delta-resync N` forces a cache rebuild every `N`
-//! generations). Both are outcome-invariant on clean runs: the detail
-//! CSV's deterministic columns are byte-identical at every setting — the
-//! CI `batch-smoke` job enforces this. Under an active fault plan
-//! `--delta-eval` is a different (equally deterministic) trajectory —
-//! see the fault carve-out in DESIGN.md §14; batch fusion gates itself
-//! off under faults, so its identity holds unconditionally.
-//!
 //! `--sim-threads` (or `CDD_SIM_THREADS`) sets how many host threads each
 //! simulated device uses to execute the blocks of a launch. Results,
 //! modeled clocks and all `service_` metrics are byte-identical at every
@@ -77,7 +64,6 @@
 use cdd_bench::workload::{generate_mixed, load};
 use cdd_bench::{fault_plan_from_args, results_dir, sim_parallelism_from_args, write_csv, Args, Table};
 use cdd_core::SuiteError;
-use cdd_gpu::DeltaConfig;
 use cdd_service::{
     Backend, BreakerConfig, RequestOutcome, ServiceConfig, ServiceReport, SolverService,
     SupervisorConfig,
@@ -256,11 +242,6 @@ fn main() {
             failure_threshold: args.get_or("breaker-threshold", 3u32),
             open_ms: args.get_or("breaker-open-ms", 250u64),
             ..BreakerConfig::default()
-        },
-        batch_window: args.get_or("batch-window", 1usize).max(1),
-        delta: DeltaConfig {
-            enabled: args.flag("delta-eval"),
-            resync_every: args.get_or("delta-resync", 0u64),
         },
         ..Default::default()
     };
