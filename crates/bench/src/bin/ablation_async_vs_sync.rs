@@ -31,6 +31,11 @@ fn main() {
     let instances = args.get_or("instances", 5u32);
     let seed = args.get_or("seed", 2016u64);
     let stride = args.get_or("stride", (iters / 100).max(1));
+    let curves_path = args
+        .get("convergence-out")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| results_dir().join("ablation_async_vs_sync_curves.csv"));
+    args.finish();
 
     // Synchronous scheme: same budget split into levels × markov-chain len.
     let levels = 50u64.min(iters);
@@ -119,10 +124,6 @@ fn main() {
          directly from the recorded trajectories."
     );
     write_csv(&table, &results_dir().join("ablation_async_vs_sync.csv")).expect("write results");
-    let curves_path = args
-        .get("convergence-out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| results_dir().join("ablation_async_vs_sync_curves.csv"));
     write_csv(&curves, &curves_path).expect("write curves");
     println!("curves: {}", curves_path.display());
 }

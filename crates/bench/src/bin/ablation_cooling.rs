@@ -20,6 +20,7 @@ fn main() {
     let chains = args.get_or("chains", 16usize);
     let instances = args.get_or("instances", 5u32);
     let seed = args.get_or("seed", 2016u64);
+    args.finish();
 
     let schedules: Vec<(String, Cooling)> = [0.5, 0.7, 0.8, 0.88, 0.95, 0.99]
         .iter()

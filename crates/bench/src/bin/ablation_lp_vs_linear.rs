@@ -21,6 +21,7 @@ fn main() {
     let sizes = args.get_list_or("sizes", &[10usize, 20, 40, 60]);
     let reps = args.get_or("reps", 50u32);
     let seed = args.get_or("seed", 2016u64);
+    args.finish();
 
     let mut table = Table::new(vec![
         "Jobs",

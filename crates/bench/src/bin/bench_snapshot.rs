@@ -125,6 +125,7 @@ fn backend_snapshot(args: &Args) {
         .get("out")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| results_dir().join("BENCH_pr10.json"));
+    args.finish();
 
     let host_cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
     eprintln!(
@@ -248,6 +249,8 @@ fn main() {
     let out = args.get("out").map(std::path::PathBuf::from).unwrap_or_else(|| {
         results_dir().join("BENCH_pr5.json")
     });
+    let deterministic_out = args.get("deterministic-out").map(str::to_string);
+    args.finish();
 
     let host_cores =
         std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
@@ -353,7 +356,7 @@ fn main() {
 
     // Deterministic-only sidecar for CI byte-diffing: identical content for
     // every run of the same configuration, at any thread setting.
-    if let Some(path) = args.get("deterministic-out") {
+    if let Some(path) = deterministic_out {
         let mut det = String::new();
         for m in measured.iter().filter(|m| m.setting == SimParallelism::Serial) {
             if !det.is_empty() {
@@ -362,7 +365,7 @@ fn main() {
             det.push_str(&m.det.to_json(m.n));
         }
         let body = format!("[\n  {det}\n]\n");
-        std::fs::write(path, body).expect("write deterministic sidecar");
+        std::fs::write(&path, body).expect("write deterministic sidecar");
         println!("deterministic sidecar: {path}");
     }
 }

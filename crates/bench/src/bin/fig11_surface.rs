@@ -24,6 +24,7 @@ fn main() {
     // Shared campaign flags (--block-size, --seed, fault flags) parse through
     // the same helper as the table binaries.
     let cfg = campaign_from_args(&args, &[]);
+    args.finish();
     let (block_size, seed) = (cfg.block_size, cfg.seed);
 
     let id = InstanceId::ucddcp(n, 1);

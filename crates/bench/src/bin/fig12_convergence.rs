@@ -42,6 +42,15 @@ fn main() {
     let seed = args.get_or("seed", 2016u64);
     let blocks = args.get_or("blocks", 1usize);
     let block_size = args.get_or("block-size", 64usize);
+    let curves_path = args
+        .get("convergence-out")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| results_dir().join("fig12_convergence_curves.csv"));
+    let summary_path = args
+        .get("summary")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| results_dir().join("fig12_convergence_summary.json"));
+    args.finish();
     let telemetry = TelemetryConfig::every(stride.max(1));
 
     let mut curves = Table::new(curve_headers());
@@ -82,16 +91,8 @@ fn main() {
     );
     println!("{}", render_markdown(&summary_table));
 
-    let curves_path = args
-        .get("convergence-out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| results_dir().join("fig12_convergence_curves.csv"));
     write_csv(&curves, &curves_path).expect("curves CSV writable");
 
-    let summary_path = args
-        .get("summary")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| results_dir().join("fig12_convergence_summary.json"));
     let json = format!("{{\"runs\": [\n{}\n]}}\n", summaries.join(",\n"));
     if let Some(dir) = summary_path.parent() {
         std::fs::create_dir_all(dir).expect("summary dir creatable");

@@ -15,18 +15,14 @@ use cdd_instances::{BestKnown, InstanceId, PAPER_H_VALUES, PAPER_SIZES};
 
 fn main() {
     let args = Args::parse();
-    let sizes: Vec<usize> = if args.flag("full") {
-        PAPER_SIZES.to_vec()
-    } else {
-        args.get_list_or("sizes", &[10usize, 20, 50, 100, 200])
-    };
-    let ks: Vec<u32> = if args.flag("full") {
-        (1..=10).collect()
-    } else {
-        args.get_list_or("ks", &[1u32, 2])
-    };
+    let full = args.flag("full");
+    let sizes = args.get_list_or("sizes", &[10usize, 20, 50, 100, 200]);
+    let sizes: Vec<usize> = if full { PAPER_SIZES.to_vec() } else { sizes };
+    let ks = args.get_list_or("ks", &[1u32, 2]);
+    let ks: Vec<u32> = if full { (1..=10).collect() } else { ks };
     let chains = args.get_or("chains", 24usize);
     let iters = args.get_or("iters", 8000u64);
+    args.finish();
 
     let mut ids: Vec<InstanceId> = Vec::new();
     for &n in &sizes {

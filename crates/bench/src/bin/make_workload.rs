@@ -33,7 +33,10 @@ fn main() {
         .map(PathBuf::from)
         .unwrap_or_else(|| results_dir().join("workload.txt"));
 
-    let entries = if args.flag("unique") {
+    let unique = args.flag("unique");
+    args.finish();
+
+    let entries = if unique {
         generate_unique_tenants(requests, seed, iterations, &sizes, tenants)
     } else {
         generate_mixed_tenants(requests, seed, iterations, &sizes, tenants)

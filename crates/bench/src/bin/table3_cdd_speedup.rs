@@ -23,9 +23,10 @@ fn main() {
     let args = Args::parse();
     let cfg = campaign_from_args(&args, &[10, 20, 50, 100, 200]);
     let h = args.get_or("h", 0.6f64);
+    let mut observer = CampaignObserver::from_args(&args);
+    args.finish();
 
     eprintln!("Table III campaign: sizes {:?}, ensemble {}", cfg.sizes, cfg.ensemble());
-    let mut observer = CampaignObserver::from_args(&args);
     let (speedup, runtime) =
         run_speedup_suite(&cfg, |n| InstanceId::cdd(n, 1, h), true, Some(&mut observer));
     observer.finish().expect("metrics/trace outputs writable");

@@ -28,8 +28,12 @@ fn main() {
     let args = Args::parse();
     let full = args.flag("full");
     let cfg = campaign_from_args(&args, &[10, 20, 50, 100]);
-    let ks: Vec<u32> =
-        if full { (1..=10).collect() } else { args.get_list_or("ks", &[1u32, 2]) };
+    let ks = args.get_list_or("ks", &[1u32, 2]);
+    let ks: Vec<u32> = if full { (1..=10).collect() } else { ks };
+    let resume = args.flag("resume");
+    let max_cells = args.get("max-cells").map(|s| s.parse().expect("--max-cells: integer"));
+    let mut observer = CampaignObserver::from_args(&args);
+    args.finish();
 
     let mut ids: Vec<InstanceId> = Vec::new();
     for &n in &cfg.sizes {
@@ -55,12 +59,10 @@ fn main() {
     }
     let journal_path = results_dir().join("table4_ucddcp_quality.journal.jsonl");
     let mut journal =
-        Journal::open(&journal_path, args.flag("resume")).expect("journal readable");
+        Journal::open(&journal_path, resume).expect("journal readable");
     if !journal.is_empty() {
         eprintln!("resuming: {} cells replayed from {}", journal.len(), journal_path.display());
     }
-    let max_cells = args.get("max-cells").map(|s| s.parse().expect("--max-cells: integer"));
-    let mut observer = CampaignObserver::from_args(&args);
     let (rows, detail) =
         run_quality_suite(&cfg, &ids, &best, Some(&mut journal), max_cells, Some(&mut observer));
     observer.finish().expect("metrics/trace outputs writable");

@@ -18,9 +18,10 @@ use cdd_instances::InstanceId;
 fn main() {
     let args = Args::parse();
     let cfg = campaign_from_args(&args, &[10, 20, 50, 100, 200]);
+    let mut observer = CampaignObserver::from_args(&args);
+    args.finish();
 
     eprintln!("Table V campaign: sizes {:?}, ensemble {}", cfg.sizes, cfg.ensemble());
-    let mut observer = CampaignObserver::from_args(&args);
     let (speedup, runtime) =
         run_speedup_suite(&cfg, |n| InstanceId::ucddcp(n, 1), false, Some(&mut observer));
     observer.finish().expect("metrics/trace outputs writable");

@@ -23,6 +23,7 @@ fn main() {
     let block_sizes =
         args.get_list_or("block-sizes", &[64usize, 96, 128, 192, 256, 384, 512, 768, 1024]);
     let seed = args.get_or("seed", 2016u64);
+    args.finish();
 
     let inst = InstanceId::cdd(n, 1, 0.6).instantiate();
     let mut table = Table::new(vec![

@@ -7,13 +7,20 @@
 use crate::campaign::CampaignConfig;
 use cdd_instances::PAPER_SIZES;
 use cuda_sim::{FaultPlan, SimParallelism};
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Parsed command-line arguments: `--key value` pairs and bare `--flags`.
+///
+/// Every lookup records the name it asked for, so once a binary has read
+/// all of its flags, [`finish`](Self::finish) can reject any flag it never
+/// asked about (a typo such as `--devics 3` must not run silently with the
+/// default).
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     values: BTreeMap<String, String>,
     flags: Vec<String>,
+    known: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -23,14 +30,42 @@ impl Args {
         Self::from_iter(std::env::args().skip(1))
     }
 
+    fn note(&self, name: &str) {
+        self.known.borrow_mut().insert(name.to_string());
+    }
+
     /// Whether the bare flag was given.
     pub fn flag(&self, name: &str) -> bool {
+        self.note(name);
         self.flags.iter().any(|f| f == name)
     }
 
     /// String value of `--name`.
     pub fn get(&self, name: &str) -> Option<&str> {
+        self.note(name);
         self.values.get(name).map(|s| s.as_str())
+    }
+
+    /// Given flags (bare or with a value) that no lookup has asked about,
+    /// in sorted order.
+    fn unknown(&self) -> Vec<String> {
+        let known = self.known.borrow();
+        let given: BTreeSet<&String> = self.values.keys().chain(&self.flags).collect();
+        given.into_iter().filter(|k| !known.contains(*k)).cloned().collect()
+    }
+
+    /// Call once every flag has been read: prints `unknown flag --name` for
+    /// each flag no lookup asked about and exits with status 2 if there is
+    /// any.
+    pub fn finish(&self) {
+        let unknown = self.unknown();
+        if unknown.is_empty() {
+            return;
+        }
+        for name in &unknown {
+            eprintln!("unknown flag --{name}");
+        }
+        std::process::exit(2);
     }
 
     /// Parsed value of `--name`, or `default`.
@@ -94,17 +129,14 @@ pub fn fault_plan_from_args(args: &Args) -> Option<FaultPlan> {
     let bit_flip = args.get_or("bit-flip-rate", 0.0f64);
     let hang = args.get_or("hang-rate", 0.0f64);
     let worker_crash = args.get_or("worker-crash-rate", 0.0f64);
+    let seed = args.get_or("fault-seed", 0xFA17u64);
+    let horizon = args.get_or("worker-crash-horizon", 128u64);
     if launch_failure == 0.0 && bit_flip == 0.0 && hang == 0.0 && worker_crash == 0.0 {
         return None;
     }
     Some(
-        FaultPlan::with_rates(
-            args.get_or("fault-seed", 0xFA17u64),
-            launch_failure,
-            bit_flip,
-            hang,
-        )
-        .with_worker_crash(worker_crash, args.get_or("worker-crash-horizon", 128u64)),
+        FaultPlan::with_rates(seed, launch_failure, bit_flip, hang)
+            .with_worker_crash(worker_crash, horizon),
     )
 }
 
@@ -128,12 +160,9 @@ pub fn sim_parallelism_from_args(args: &Args) -> SimParallelism {
 /// [`CampaignConfig`]. `default_sizes` is the binary's reduced default
 /// sweep.
 pub fn campaign_from_args(args: &Args, default_sizes: &[usize]) -> CampaignConfig {
+    let sizes = args.get_list_or("sizes", default_sizes);
     let mut cfg = CampaignConfig {
-        sizes: if args.flag("full") {
-            PAPER_SIZES.to_vec()
-        } else {
-            args.get_list_or("sizes", default_sizes)
-        },
+        sizes: if args.flag("full") { PAPER_SIZES.to_vec() } else { sizes },
         blocks: args.get_or("blocks", 4usize),
         block_size: args.get_or("block-size", 192usize),
         seed: args.get_or("seed", 2016u64),
@@ -173,6 +202,31 @@ mod tests {
         let a = args(&[]);
         assert_eq!(a.get_or("threads", 768usize), 768);
         assert!(a.get("missing").is_none());
+    }
+
+    #[test]
+    fn flags_no_lookup_asked_about_are_unknown() {
+        let a = args(&["--devics", "3", "--seed", "7", "--delta-eval", "--full"]);
+        assert_eq!(a.unknown(), vec!["delta-eval", "devics", "full", "seed"]);
+        assert_eq!(a.get_or("seed", 0u64), 7);
+        assert!(a.flag("full"));
+        // A lookup of a flag that was not given still makes it known.
+        assert_eq!(a.get_or("devices", 2usize), 2);
+        assert_eq!(a.get_list_or("sizes", &[10usize]), vec![10]);
+        assert_eq!(a.unknown(), vec!["delta-eval", "devics"]);
+        let _ = a.get("devics");
+        let _ = a.flag("delta-eval");
+        assert!(a.unknown().is_empty());
+        a.finish();
+    }
+
+    #[test]
+    fn shared_helpers_know_every_flag_they_document() {
+        let a = args(&[
+            "--fault-seed", "5", "--worker-crash-horizon", "9", "--full", "--sim-threads", "2",
+        ]);
+        let _ = campaign_from_args(&a, &[10]);
+        assert!(a.unknown().is_empty(), "{:?}", a.unknown());
     }
 
     #[test]

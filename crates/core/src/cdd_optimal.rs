@@ -119,6 +119,26 @@ pub fn cdd_objective_with_shift(
 
 /// Optimal CDD objective for one sequence, on raw arrays. This is the
 /// *fitness function* evaluated by every metaheuristic thread (CPU and GPU).
+///
+/// One forward pass over the sequence, with no second evaluation pass: it
+/// finds `τ`, `pe` and `pl` as [`cdd_optimal_shift_raw`] does and also sums
+/// `Σ α·C` over the positions completing at or before `d` and `Σ β·C`
+/// over the others (`C` = packed completion time). The right-shift walk
+/// then moves each position it makes tardy from one sum to the other, and
+/// the objective follows in closed form from the final shift `s`:
+///
+/// ```text
+/// (d − s)·pe − Σ α·C + Σ β·C + (s − d)·pl
+/// ```
+///
+/// Every position before the final due-date position completes at or
+/// before `d` after the shift and every later one at or after it, so this
+/// equals [`cdd_objective_with_shift`] at the optimal shift exactly. The
+/// sums use wrapping integer arithmetic: the result is exact whenever the
+/// objective itself fits in an `i64`, even if an intermediate sum does not.
+///
+/// `p`, `alpha`, `beta` are indexed by **job id**; every id in `seq` must
+/// index all three (checked once, up front).
 #[inline]
 pub fn cdd_objective_raw(
     p: &[Time],
@@ -127,8 +147,72 @@ pub fn cdd_objective_raw(
     d: Time,
     seq: &[u32],
 ) -> Cost {
-    let (shift, _) = cdd_optimal_shift_raw(p, alpha, beta, d, seq);
-    cdd_objective_with_shift(p, alpha, beta, d, seq, shift)
+    // One vectorizable pass validates every job id against the shortest
+    // array; afterwards each gather below is in bounds by construction.
+    let limit = p.len().min(alpha.len()).min(beta.len());
+    assert!(
+        seq.iter().all(|&j| (j as usize) < limit),
+        "cdd_objective_raw: sequence contains a job id outside the instance"
+    );
+
+    let mut c: Time = 0;
+    let mut tau: usize = 0;
+    let mut c_tau: Time = 0;
+    let mut pe: Time = 0;
+    let mut pl: Time = 0;
+    let mut alpha_c: Cost = 0;
+    let mut beta_c: Cost = 0;
+    for (k, &job) in seq.iter().enumerate() {
+        let j = job as usize;
+        // SAFETY: every id in `seq` was validated above against the
+        // shortest of the three arrays.
+        unsafe {
+            c = c.wrapping_add(*p.get_unchecked(j));
+            if c <= d {
+                let aj = *alpha.get_unchecked(j);
+                tau = k + 1;
+                c_tau = c;
+                pe = pe.wrapping_add(aj);
+                alpha_c = alpha_c.wrapping_add(aj.wrapping_mul(c));
+            } else {
+                let bj = *beta.get_unchecked(j);
+                pl = pl.wrapping_add(bj);
+                beta_c = beta_c.wrapping_add(bj.wrapping_mul(c));
+            }
+        }
+    }
+
+    let mut shift: Time = 0;
+    if tau > 0 && pl < pe {
+        // Align position τ with the due date, then keep shifting while
+        // making position τ tardy still pays off (Theorem 1, Case 2(ii)).
+        shift = d - c_tau;
+        while tau >= 1 {
+            // SAFETY: `tau - 1 < seq.len()` and every id was validated.
+            let j = unsafe { *seq.get_unchecked(tau - 1) } as usize;
+            let (pj, aj, bj) =
+                unsafe { (*p.get_unchecked(j), *alpha.get_unchecked(j), *beta.get_unchecked(j)) };
+            let pe_next = pe - aj;
+            let pl_next = pl + bj;
+            if pl_next >= pe_next {
+                break;
+            }
+            // Position τ turns tardy: its term moves from the α·C sum to
+            // the β·C sum, and its predecessor becomes the aligned one.
+            alpha_c = alpha_c.wrapping_sub(aj.wrapping_mul(c_tau));
+            beta_c = beta_c.wrapping_add(bj.wrapping_mul(c_tau));
+            c_tau -= pj;
+            shift += pj;
+            pe = pe_next;
+            pl = pl_next;
+            tau -= 1;
+        }
+    }
+    (d - shift)
+        .wrapping_mul(pe)
+        .wrapping_sub(alpha_c)
+        .wrapping_add(beta_c)
+        .wrapping_add((shift - d).wrapping_mul(pl))
 }
 
 /// Optimize one job sequence of a CDD (or UCDDCP, ignoring compression)
@@ -261,6 +345,53 @@ mod tests {
         assert_eq!(sol.shift, 0);
         // C = {2,4}: job 1 on time (E = 0), job 2 tardy by 2 → β·T = 3·2 = 6.
         assert_eq!(sol.objective, 6);
+    }
+
+    /// The single-pass `cdd_objective_raw` must equal the two-pass oracle
+    /// (`cdd_optimal_shift_raw` + `cdd_objective_with_shift`) on every size
+    /// class, on all three due-date regimes (`d = 0`, restrictive,
+    /// `d ≥ Σ p`) and with data at the 2²⁰ value cap the fitness kernel
+    /// accepts, where the `Σ α·C` / `Σ β·C` sums reach ~2⁶⁰ at n = 1000.
+    #[test]
+    fn single_pass_objective_matches_two_pass_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const VALUE_CAP: Time = 1 << 20;
+        let mut rng = StdRng::seed_from_u64(0xCDD0);
+        for case in 0..600usize {
+            let n = [0usize, 1, 2, 5, 50, 1000][case % 6];
+            let (lo, hi) = match (case / 6) % 4 {
+                0 => (1, 20),
+                1 => (0, 20),
+                2 => (VALUE_CAP / 2, VALUE_CAP),
+                _ => (VALUE_CAP, VALUE_CAP),
+            };
+            let p: Vec<Time> = (0..n).map(|_| rng.gen_range(lo.max(1)..=hi)).collect();
+            let a: Vec<Time> = (0..n).map(|_| rng.gen_range(lo..=hi)).collect();
+            let b: Vec<Time> = (0..n).map(|_| rng.gen_range(lo..=hi)).collect();
+            let sum_p: Time = p.iter().sum();
+            let d = match (case / 24) % 3 {
+                0 => 0,
+                1 => rng.gen_range(0..=sum_p),
+                _ => sum_p + rng.gen_range(0..=VALUE_CAP),
+            };
+            let seq = JobSequence::random(n, &mut rng);
+            let s = seq.as_slice();
+            let (shift, _) = cdd_optimal_shift_raw(&p, &a, &b, d, s);
+            let oracle = cdd_objective_with_shift(&p, &a, &b, d, s, shift);
+            assert_eq!(
+                cdd_objective_raw(&p, &a, &b, d, s),
+                oracle,
+                "case {case}: n={n} d={d} values {lo}..={hi}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "job id outside the instance")]
+    fn raw_objective_rejects_out_of_range_job_ids() {
+        let p = [1, 2, 3];
+        cdd_objective_raw(&p, &p, &p[..2], 4, &[0, 2, 1]);
     }
 
     #[test]

@@ -93,7 +93,8 @@ pub struct UpdateScratch {
     row: Vec<u32>,
     other: Vec<u32>,
     out: Vec<u32>,
-    /// Seen-marks for permutation repair under fault injection.
+    /// Seen-marks: the crossovers' kept-job marks, and permutation repair
+    /// under fault injection.
     marks: Vec<bool>,
 }
 
@@ -164,7 +165,13 @@ impl Kernel for DpsoUpdateKernel {
                     ctx.charge_alu(2 * n as u64);
                 }
                 let cut = 1 + rng.next_below(n as u32 - 1) as usize;
-                one_point_crossover(&scratch.row, &scratch.other, cut, &mut scratch.out);
+                one_point_crossover(
+                    &scratch.row,
+                    &scratch.other,
+                    cut,
+                    &mut scratch.marks,
+                    &mut scratch.out,
+                );
                 std::mem::swap(&mut scratch.row, &mut scratch.out);
                 ctx.charge_alu(2 * n as u64);
             }
@@ -182,7 +189,14 @@ impl Kernel for DpsoUpdateKernel {
                 if lo > hi {
                     std::mem::swap(&mut lo, &mut hi);
                 }
-                two_point_crossover(&scratch.row, &scratch.other, lo, hi + 1, &mut scratch.out);
+                two_point_crossover(
+                    &scratch.row,
+                    &scratch.other,
+                    lo,
+                    hi + 1,
+                    &mut scratch.marks,
+                    &mut scratch.out,
+                );
                 std::mem::swap(&mut scratch.row, &mut scratch.out);
                 ctx.charge_alu(2 * n as u64);
             }

@@ -105,6 +105,37 @@ fn dpso_native_matches_sim_for_both_kinds() {
     }
 }
 
+/// Long rows (n = 500) take the native backend's typed `memcpy` paths for
+/// every sequence row, RNG slot and staged array: SA and DPSO must still
+/// match the simulator bit for bit on both problem kinds.
+#[test]
+fn long_rows_match_across_backends() {
+    use cdd_instances::InstanceId;
+    for inst in [InstanceId::cdd(500, 1, 0.4).instantiate(), InstanceId::ucddcp(500, 1).instantiate()]
+    {
+        let sa = |backend| GpuSaParams {
+            blocks: 1,
+            block_size: 32,
+            iterations: 12,
+            backend,
+            ..Default::default()
+        };
+        let sim = run_gpu_sa(&inst, &sa(Backend::Sim)).unwrap();
+        let native = run_gpu_sa(&inst, &sa(Backend::Native)).unwrap();
+        assert_eq!(Outcome::from(&sim), Outcome::from(&native), "SA {:?}", inst.kind());
+        let dp = |backend| GpuDpsoParams {
+            blocks: 1,
+            block_size: 32,
+            iterations: 12,
+            backend,
+            ..Default::default()
+        };
+        let sim = run_gpu_dpso(&inst, &dp(Backend::Sim)).unwrap();
+        let native = run_gpu_dpso(&inst, &dp(Backend::Native)).unwrap();
+        assert_eq!(Outcome::from(&sim), Outcome::from(&native), "DPSO {:?}", inst.kind());
+    }
+}
+
 /// The unified solve entry point routes `backend` for both algorithms.
 #[test]
 fn solve_entry_point_routes_backends() {

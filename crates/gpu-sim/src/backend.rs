@@ -336,7 +336,7 @@ impl ExecBackend for NativeGpu {
     }
 
     fn alloc<T: DeviceValue>(&mut self, len: usize) -> Buf<T> {
-        Buf::new(self.pool.alloc(len), len)
+        Buf::new(self.pool.alloc::<T>(len), len)
     }
 
     fn alloc_const<T: DeviceValue>(&mut self, data: &[T]) -> Result<ConstBuf<T>, LaunchError> {
@@ -352,25 +352,20 @@ impl ExecBackend for NativeGpu {
 
     fn h2d<T: DeviceValue>(&mut self, buf: Buf<T>, data: &[T]) {
         assert_eq!(data.len(), buf.len, "h2d length mismatch");
-        for (slot, v) in self.pool.global[buf.id].iter_mut().zip(data) {
-            *slot = v.to_bits();
-        }
+        self.pool.slice_mut::<T>(buf.id).copy_from_slice(data);
     }
 
     fn d2h<T: DeviceValue>(&mut self, buf: Buf<T>) -> Vec<T> {
-        self.pool.global[buf.id].iter().map(|&bits| T::from_bits(bits)).collect()
+        self.pool.slice::<T>(buf.id).to_vec()
     }
 
     fn d2h_range<T: DeviceValue>(&mut self, buf: Buf<T>, start: usize, len: usize) -> Vec<T> {
         assert!(start + len <= buf.len, "d2h_range out of bounds");
-        self.pool.global[buf.id][start..start + len]
-            .iter()
-            .map(|&bits| T::from_bits(bits))
-            .collect()
+        self.pool.slice::<T>(buf.id)[start..start + len].to_vec()
     }
 
     fn peek<T: DeviceValue>(&self, buf: Buf<T>) -> Vec<T> {
-        self.pool.global[buf.id].iter().map(|&bits| T::from_bits(bits)).collect()
+        self.pool.slice::<T>(buf.id).to_vec()
     }
 
     fn launch_kernel<K: Kernel + Sync>(
@@ -466,7 +461,8 @@ impl ExecBackend for NativeGpu {
 }
 
 /// The native implementation of the device surface: plain bounds-checked
-/// relaxed-atomic memory access, staged atomics, and nothing else. The
+/// relaxed-atomic element access, typed `memcpy`s for bulk rows, staged
+/// atomics, and nothing else. The
 /// `charge_*` hooks vanish, fault injection is never active, and the
 /// telemetry port degenerates to a plain access.
 pub struct NativeCtx<'a> {
@@ -522,19 +518,19 @@ impl DeviceCtx for NativeCtx<'_> {
     #[inline]
     fn read<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T {
         let (id, _) = buf.id_len();
-        T::from_bits(self.mem.load(id, idx))
+        T::from_bits(self.mem.load::<T>(id, idx))
     }
 
     #[inline]
     fn write<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize, value: T) {
         let (id, _) = buf.id_len();
-        self.mem.store(id, idx, value.to_bits());
+        self.mem.store::<T>(id, idx, value.to_bits());
     }
 
     #[inline]
     fn read_texture<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T {
         let (id, _) = buf.id_len();
-        T::from_bits(self.mem.load(id, idx))
+        T::from_bits(self.mem.load::<T>(id, idx))
     }
 
     fn read_texture_slice_into<T: DeviceValue>(
@@ -544,13 +540,11 @@ impl DeviceCtx for NativeCtx<'_> {
         dst: &mut [T],
     ) {
         let (id, _) = buf.id_len();
-        let words = self.mem.words_ptr(id, start, dst.len());
-        // SAFETY: texture reads are defined only for data no kernel writes
-        // during the launch, so no concurrent writer exists.
-        let words = unsafe { std::slice::from_raw_parts(words, dst.len()) };
-        for (d, &w) in dst.iter_mut().zip(words) {
-            *d = T::from_bits(w);
-        }
+        let src = self.mem.elems_ptr::<T>(id, start, dst.len());
+        // SAFETY: in-bounds at `T`'s width (checked by `elems_ptr`); texture
+        // reads are defined only for data no kernel writes during the
+        // launch, so no concurrent writer exists.
+        unsafe { std::ptr::copy_nonoverlapping(src, dst.as_mut_ptr(), dst.len()) };
     }
 
     #[inline]
@@ -582,30 +576,25 @@ impl DeviceCtx for NativeCtx<'_> {
         start: usize,
         dst: &mut [T],
     ) {
-        // One bounds check for the whole window, then a plain vectorizable
-        // copy loop — this bulk path is where the native backend earns its
+        // One bounds and width check for the whole window, then a typed
+        // `memcpy` — this bulk path is where the native backend earns its
         // wall-clock win over the per-element simulated accesses. See
-        // `MemView::words_ptr` for why plain (non-atomic) access is sound
+        // `MemView::elems_ptr` for why plain (non-atomic) access is sound
         // here.
         let (id, _) = buf.id_len();
-        let words = self.mem.words_ptr(id, start, dst.len());
-        // SAFETY: in-bounds (checked by `words_ptr`); simulated threads own
-        // disjoint rows, so no concurrent writer overlaps this window.
-        let words = unsafe { std::slice::from_raw_parts(words, dst.len()) };
-        for (d, &w) in dst.iter_mut().zip(words) {
-            *d = T::from_bits(w);
-        }
+        let src = self.mem.elems_ptr::<T>(id, start, dst.len());
+        // SAFETY: in-bounds at `T`'s width (checked by `elems_ptr`);
+        // simulated threads own disjoint rows, so no concurrent writer
+        // overlaps this window, and `dst` is a distinct host slice.
+        unsafe { std::ptr::copy_nonoverlapping(src, dst.as_mut_ptr(), dst.len()) };
     }
 
     fn write_slice<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, start: usize, src: &[T]) {
         let (id, _) = buf.id_len();
-        let words = self.mem.words_ptr(id, start, src.len());
+        let dst = self.mem.elems_ptr::<T>(id, start, src.len());
         // SAFETY: as in `read_slice_into`, plus exclusivity: only this
         // simulated thread writes this row during the launch.
-        let words = unsafe { std::slice::from_raw_parts_mut(words, src.len()) };
-        for (w, &v) in words.iter_mut().zip(src) {
-            *w = v.to_bits();
-        }
+        unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), dst, src.len()) };
     }
 
     fn copy_row<T: DeviceValue>(
@@ -618,9 +607,9 @@ impl DeviceCtx for NativeCtx<'_> {
     ) {
         let (sid, _) = src.id_len();
         let (did, _) = dst.id_len();
-        let s = self.mem.words_ptr(sid, src_start, count);
-        let d = self.mem.words_ptr(did, dst_start, count);
-        // SAFETY: both windows are in-bounds (checked by `words_ptr`) and
+        let s = self.mem.elems_ptr::<T>(sid, src_start, count);
+        let d = self.mem.elems_ptr::<T>(did, dst_start, count);
+        // SAFETY: both windows are in-bounds (checked by `elems_ptr`) and
         // owned by this simulated thread for the duration of the launch;
         // `copy` has memmove semantics, so self-overlap within the thread's
         // own row (the simulator's overlap-aware case) is handled too.
@@ -634,29 +623,26 @@ impl DeviceCtx for NativeCtx<'_> {
         dst: &mut [T],
     ) {
         let (id, _) = buf.id_len();
-        let words = self.mem.words_ptr(id, start, dst.len());
-        // SAFETY: staged arrays are read-only during the launch.
-        let words = unsafe { std::slice::from_raw_parts(words, dst.len()) };
-        for (d, &w) in dst.iter_mut().zip(words) {
-            *d = T::from_bits(w);
-        }
+        let src = self.mem.elems_ptr::<T>(id, start, dst.len());
+        // SAFETY: in-bounds at `T`'s width (checked by `elems_ptr`); staged
+        // arrays are read-only during the launch.
+        unsafe { std::ptr::copy_nonoverlapping(src, dst.as_mut_ptr(), dst.len()) };
     }
 
     #[inline]
     fn global_window_i64(&self, buf: impl AsBuf<i64>, start: usize, len: usize) -> Option<&[i64]> {
         let (id, _) = buf.id_len();
-        let words = self.mem.words_ptr(id, start, len);
-        // SAFETY: in-bounds (checked by `words_ptr`); `i64` and the `u64`
-        // word storage share layout and every bit pattern is valid; the
+        let elems = self.mem.elems_ptr::<i64>(id, start, len);
+        // SAFETY: in-bounds at `i64`'s width (checked by `elems_ptr`); the
         // contract restricts windows to data no thread writes during the
         // launch, so no concurrent writer exists.
-        Some(unsafe { std::slice::from_raw_parts(words as *const i64, len) })
+        Some(unsafe { std::slice::from_raw_parts(elems, len) })
     }
 
     fn load_rng(&mut self, states: impl AsBuf<u64>, slot: usize) -> XorWow {
         let (id, _) = states.id_len();
-        let w = self.mem.words_ptr(id, slot * 3, 3);
-        // SAFETY: in-bounds (checked by `words_ptr`); each thread owns its
+        let w = self.mem.elems_ptr::<u64>(id, slot * 3, 3);
+        // SAFETY: in-bounds (checked by `elems_ptr`); each thread owns its
         // own 3-word RNG slot for the duration of the launch.
         let words = unsafe { [*w, *w.add(1), *w.add(2)] };
         XorWow::unpack(words)
@@ -664,7 +650,7 @@ impl DeviceCtx for NativeCtx<'_> {
 
     fn store_rng(&mut self, states: impl AsBuf<u64>, slot: usize, rng: &XorWow) {
         let (id, _) = states.id_len();
-        let w = self.mem.words_ptr(id, slot * 3, 3);
+        let w = self.mem.elems_ptr::<u64>(id, slot * 3, 3);
         let words = rng.pack();
         // SAFETY: as in `load_rng`.
         unsafe {
@@ -692,13 +678,13 @@ impl DeviceCtx for NativeCtx<'_> {
     #[inline]
     fn telemetry_read<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T {
         let (id, _) = buf.id_len();
-        T::from_bits(self.mem.load(id, idx))
+        T::from_bits(self.mem.load::<T>(id, idx))
     }
 
     #[inline]
     fn telemetry_write<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize, value: T) {
         let (id, _) = buf.id_len();
-        self.mem.store(id, idx, value.to_bits());
+        self.mem.store::<T>(id, idx, value.to_bits());
     }
 }
 
@@ -792,6 +778,30 @@ mod tests {
         // And the sim's own parallel dispatch still agrees.
         let mut sim_par = Gpu::new(spec);
         assert_eq!(drive(&mut sim_par, 3), baseline);
+    }
+
+    /// Host transfers round-trip every buffer width unchanged: `h2d`,
+    /// `d2h`, `d2h_range` at an odd offset and `peek`.
+    fn transfers_round_trip<B: ExecBackend>(gpu: &mut B) {
+        fn check<B: ExecBackend, T: DeviceValue + PartialEq + std::fmt::Debug>(
+            gpu: &mut B,
+            host: &[T],
+        ) {
+            let buf = gpu.alloc::<T>(host.len());
+            gpu.h2d(buf, host);
+            assert_eq!(gpu.d2h(buf), host);
+            assert_eq!(gpu.d2h_range(buf, 3, 3), &host[3..6]);
+            assert_eq!(gpu.peek(buf), host);
+        }
+        check::<B, u32>(gpu, &[0, 1, u32::MAX, 7, 1 << 31, 42, 9]);
+        check::<B, i64>(gpu, &[-1, i64::MIN, i64::MAX, 0, -42, 1 << 40, 5]);
+        check::<B, u64>(gpu, &[u64::MAX, 0, 1 << 63, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn transfers_round_trip_every_width_on_both_backends() {
+        transfers_round_trip(&mut Gpu::new(DeviceSpec::gt560m()));
+        transfers_round_trip(&mut NativeGpu::new(DeviceSpec::gt560m()));
     }
 
     #[test]

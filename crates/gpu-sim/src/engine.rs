@@ -20,12 +20,12 @@ use crate::device::DeviceSpec;
 use crate::dispatch::{SimParallelism, WorkerPool};
 use crate::fault::{FaultPlan, FaultState, FaultStats, ReadFaultCfg, ReadFaultStream};
 use crate::grid::LaunchConfig;
-use crate::memory::{Buf, ConstBuf, DeviceValue, ErasedBuf, MemoryPool};
+use crate::memory::{Buf, ConstBuf, DeviceValue, ErasedBuf, GlobalBuf, MemoryPool};
 use crate::profiler::{Profiler, TimelineEvent, TransferDir};
 use crate::rng::XorWow;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Why a launch or allocation was rejected.
@@ -311,7 +311,7 @@ pub trait DeviceCtx {
     /// (3 words per stream, like a `curandState*` argument).
     fn load_rng(&mut self, states: impl AsBuf<u64>, slot: usize) -> XorWow {
         let (id, len) = states.id_len();
-        let e = ErasedBuf { id, len };
+        let e = ErasedBuf { id, len, width: 8 };
         let words = [
             self.read::<u64>(e, slot * 3),
             self.read::<u64>(e, slot * 3 + 1),
@@ -323,7 +323,7 @@ pub trait DeviceCtx {
     /// Store this thread's XORWOW state back to the device array.
     fn store_rng(&mut self, states: impl AsBuf<u64>, slot: usize, rng: &XorWow) {
         let (id, len) = states.id_len();
-        let e = ErasedBuf { id, len };
+        let e = ErasedBuf { id, len, width: 8 };
         let words = rng.pack();
         self.write::<u64>(e, slot * 3, words[0]);
         self.write::<u64>(e, slot * 3 + 1, words[1]);
@@ -416,24 +416,28 @@ impl RaceTracker {
     }
 }
 
-/// Raw view of one global buffer: base pointer + element count.
+/// Raw view of one global buffer: base pointer, element count and element
+/// width in bytes.
 #[derive(Clone, Copy)]
 struct BufSlice {
     ptr: *mut u64,
     len: usize,
+    width: usize,
 }
 
 /// A launch-scoped view of device memory that many host threads can access
-/// at once. Words are loaded/stored through `AtomicU64` with relaxed
-/// ordering, so even a kernel with a (simulated) data race is defined
-/// behavior on the host — it produces garbage values, never UB. Constant
-/// memory is read-only during a launch and needs no atomicity.
+/// at once. Elements are loaded/stored through a relaxed `AtomicU32` or
+/// `AtomicU64`, by the buffer's width, so even a kernel with a (simulated)
+/// data race is defined behavior on the host — it produces garbage values,
+/// never UB. Every access names its element type, and the view asserts it
+/// matches the width the buffer was allocated with. Constant memory is
+/// read-only during a launch and needs no atomicity.
 pub(crate) struct MemView<'a> {
     global: Vec<BufSlice>,
     constant: &'a [Vec<u64>],
 }
 
-// SAFETY: all global-word access goes through atomic loads/stores (see
+// SAFETY: all global-element access goes through atomic loads/stores (see
 // `load`/`store`); the constant regions are shared read-only. The pointers
 // stay valid for the view's lifetime because `new` takes `&mut MemoryPool`,
 // which prevents any reallocation of the underlying vectors while the view
@@ -443,51 +447,76 @@ unsafe impl Sync for MemView<'_> {}
 impl<'a> MemView<'a> {
     pub(crate) fn new(pool: &'a mut MemoryPool) -> MemView<'a> {
         let MemoryPool { global, constant, .. } = pool;
-        let global =
-            global.iter_mut().map(|b| BufSlice { ptr: b.as_mut_ptr(), len: b.len() }).collect();
+        let global = global
+            .iter_mut()
+            .map(|b| {
+                let (ptr, len, width) = b.raw_parts();
+                BufSlice { ptr, len, width }
+            })
+            .collect();
         MemView { global, constant }
     }
 
+    /// Pointer to element `idx` of buffer `buf`, bounds- and width-checked.
     #[inline]
-    fn word(&self, buf: usize, idx: usize) -> &AtomicU64 {
+    fn elem<T: DeviceValue>(&self, buf: usize, idx: usize) -> *mut u8 {
         let b = &self.global[buf];
+        GlobalBuf::check_width::<T>(buf, b.width);
         assert!(idx < b.len, "global memory access out of bounds: buffer {buf} has {} elements, index {idx}", b.len);
-        // SAFETY: in-bounds (asserted), aligned (`Vec<u64>` storage), and
-        // `u64`/`AtomicU64` share layout; atomicity makes concurrent access
-        // defined.
-        unsafe { &*(b.ptr.add(idx) as *const AtomicU64) }
+        // SAFETY: in-bounds (asserted) at the buffer's own width (asserted).
+        unsafe { (b.ptr as *mut u8).add(idx * size_of::<T>()) }
     }
 
+    /// Load element `idx` as a bit pattern (zero-extended from 4 bytes for
+    /// 4-byte types).
     #[inline]
-    pub(crate) fn load(&self, buf: usize, idx: usize) -> u64 {
-        self.word(buf, idx).load(Ordering::Relaxed)
+    pub(crate) fn load<T: DeviceValue>(&self, buf: usize, idx: usize) -> u64 {
+        let p = self.elem::<T>(buf, idx);
+        // SAFETY: `elem` returns an in-bounds element pointer, aligned for
+        // its width (`Vec<u64>` storage); the atomic types share layout with
+        // `u32`/`u64`, and atomicity makes concurrent access defined.
+        if size_of::<T>() == 4 {
+            u64::from(unsafe { &*(p as *const AtomicU32) }.load(Ordering::Relaxed))
+        } else {
+            unsafe { &*(p as *const AtomicU64) }.load(Ordering::Relaxed)
+        }
     }
 
+    /// Store the low `8 · size_of::<T>()` bits of `bits` into element `idx`.
     #[inline]
-    pub(crate) fn store(&self, buf: usize, idx: usize, bits: u64) {
-        self.word(buf, idx).store(bits, Ordering::Relaxed)
+    pub(crate) fn store<T: DeviceValue>(&self, buf: usize, idx: usize, bits: u64) {
+        let p = self.elem::<T>(buf, idx);
+        // SAFETY: as in `load`.
+        if size_of::<T>() == 4 {
+            unsafe { &*(p as *const AtomicU32) }.store(bits as u32, Ordering::Relaxed)
+        } else {
+            unsafe { &*(p as *const AtomicU64) }.store(bits, Ordering::Relaxed)
+        }
     }
 
-    /// Raw pointer to a bounds-checked window of global words — the native
-    /// backend's vectorizable bulk path (atomic loads cannot auto-vectorize).
+    /// Raw pointer to a bounds- and width-checked window of `len` elements
+    /// of `T` — the native backend's typed `memcpy` path (atomic loads cannot
+    /// auto-vectorize).
     ///
     /// Reading or writing through the pointer while another host thread
-    /// touches the same *words* is a data race in the Rust sense. The
+    /// touches the same *elements* is a data race in the Rust sense. The
     /// native backend only accepts kernels whose cross-backend parity runs
     /// clean under the simulator's race detector (races are a sim-detected,
     /// sim-only concern), and simulated threads own disjoint rows by
     /// construction, so the plain accesses never overlap a concurrent
     /// writer in practice.
     #[inline]
-    pub(crate) fn words_ptr(&self, buf: usize, start: usize, len: usize) -> *mut u64 {
+    pub(crate) fn elems_ptr<T: DeviceValue>(&self, buf: usize, start: usize, len: usize) -> *mut T {
         let b = &self.global[buf];
+        GlobalBuf::check_width::<T>(buf, b.width);
         assert!(
             start.checked_add(len).is_some_and(|end| end <= b.len),
             "global memory slice out of bounds: buffer {buf} has {} elements, range {start}..+{len}",
             b.len
         );
-        // SAFETY: in-bounds (asserted) and aligned (`Vec<u64>` storage).
-        unsafe { b.ptr.add(start) }
+        // SAFETY: in-bounds (asserted) at the buffer's own width (asserted);
+        // `Vec<u64>` storage is aligned for any `DeviceValue`.
+        unsafe { (b.ptr as *mut T).add(start) }
     }
 
     #[inline]
@@ -550,7 +579,7 @@ impl AtomicStage {
             };
             return old;
         }
-        let snapshot = i64::from_bits(mem.load(buf, idx));
+        let snapshot = i64::from_bits(mem.load::<i64>(buf, idx));
         let value = match op {
             AtomicOp::Min => snapshot.min(v),
             AtomicOp::Add => snapshot + v,
@@ -563,7 +592,8 @@ impl AtomicStage {
     /// block-index order).
     pub(crate) fn apply(self, pool: &mut MemoryPool) {
         for e in self.entries {
-            let cur = i64::from_bits(pool.global[e.buf][e.idx]);
+            let cell = &mut pool.slice_mut::<i64>(e.buf)[e.idx];
+            let cur = *cell;
             let merged = match e.op {
                 // `value` already includes the snapshot, and min is
                 // idempotent: min(cur, value) folds this block's minimum in.
@@ -572,7 +602,7 @@ impl AtomicStage {
                 // contribution counts exactly once.
                 AtomicOp::Add => cur + (e.value - e.snapshot),
             };
-            pool.global[e.buf][e.idx] = merged.to_bits();
+            *cell = merged;
         }
     }
 }
@@ -747,7 +777,7 @@ impl DeviceCtx for ThreadCtx<'_> {
         if let Some(race) = self.race.as_deref_mut() {
             race.on_read(id, idx, who);
         }
-        let bits = self.mem.load(id, idx);
+        let bits = self.mem.load::<T>(id, idx);
         let bits = self.observe_read_bits(bits, 8 * std::mem::size_of::<T>() as u32);
         T::from_bits(bits)
     }
@@ -763,7 +793,7 @@ impl DeviceCtx for ThreadCtx<'_> {
         if let Some(race) = self.race.as_deref_mut() {
             race.on_write(id, idx, who);
         }
-        self.mem.store(id, idx, value.to_bits());
+        self.mem.store::<T>(id, idx, value.to_bits());
     }
 
     /// Read one element through the **texture path** (read-only, spatially
@@ -783,7 +813,7 @@ impl DeviceCtx for ThreadCtx<'_> {
         if let Some(race) = self.race.as_deref_mut() {
             race.on_read(id, idx, who);
         }
-        let bits = self.mem.load(id, idx);
+        let bits = self.mem.load::<T>(id, idx);
         let bits = self.observe_read_bits(bits, 8 * std::mem::size_of::<T>() as u32);
         T::from_bits(bits)
     }
@@ -814,12 +844,12 @@ impl DeviceCtx for ThreadCtx<'_> {
         match self.fault.as_deref_mut() {
             Some(f) => {
                 for (i, d) in dst.iter_mut().enumerate() {
-                    *d = T::from_bits(f.observe_read(self.mem.load(id, start + i), width));
+                    *d = T::from_bits(f.observe_read(self.mem.load::<T>(id, start + i), width));
                 }
             }
             None => {
                 for (i, d) in dst.iter_mut().enumerate() {
-                    *d = T::from_bits(self.mem.load(id, start + i));
+                    *d = T::from_bits(self.mem.load::<T>(id, start + i));
                 }
             }
         }
@@ -889,12 +919,12 @@ impl DeviceCtx for ThreadCtx<'_> {
         match self.fault.as_deref_mut() {
             Some(f) => {
                 for (i, d) in dst.iter_mut().enumerate() {
-                    *d = T::from_bits(f.observe_read(self.mem.load(id, start + i), width));
+                    *d = T::from_bits(f.observe_read(self.mem.load::<T>(id, start + i), width));
                 }
             }
             None => {
                 for (i, d) in dst.iter_mut().enumerate() {
-                    *d = T::from_bits(self.mem.load(id, start + i));
+                    *d = T::from_bits(self.mem.load::<T>(id, start + i));
                 }
             }
         }
@@ -920,7 +950,7 @@ impl DeviceCtx for ThreadCtx<'_> {
             }
         }
         for (i, &v) in src.iter().enumerate() {
-            self.mem.store(id, start + i, v.to_bits());
+            self.mem.store::<T>(id, start + i, v.to_bits());
         }
     }
 
@@ -953,11 +983,11 @@ impl DeviceCtx for ThreadCtx<'_> {
         // must copy back-to-front.
         if sid == did && dst_start > src_start {
             for i in (0..count).rev() {
-                self.mem.store(did, dst_start + i, self.mem.load(sid, src_start + i));
+                self.mem.store::<T>(did, dst_start + i, self.mem.load::<T>(sid, src_start + i));
             }
         } else {
             for i in 0..count {
-                self.mem.store(did, dst_start + i, self.mem.load(sid, src_start + i));
+                self.mem.store::<T>(did, dst_start + i, self.mem.load::<T>(sid, src_start + i));
             }
         }
     }
@@ -989,12 +1019,12 @@ impl DeviceCtx for ThreadCtx<'_> {
         match self.fault.as_deref_mut() {
             Some(f) => {
                 for (i, d) in dst.iter_mut().enumerate() {
-                    *d = T::from_bits(f.observe_read(self.mem.load(id, start + i), width));
+                    *d = T::from_bits(f.observe_read(self.mem.load::<T>(id, start + i), width));
                 }
             }
             None => {
                 for (i, d) in dst.iter_mut().enumerate() {
-                    *d = T::from_bits(self.mem.load(id, start + i));
+                    *d = T::from_bits(self.mem.load::<T>(id, start + i));
                 }
             }
         }
@@ -1042,7 +1072,7 @@ impl DeviceCtx for ThreadCtx<'_> {
     fn telemetry_read<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize) -> T {
         let (id, len) = buf.id_len();
         self.check_bounds(id, len, idx);
-        T::from_bits(self.mem.load(id, idx))
+        T::from_bits(self.mem.load::<T>(id, idx))
     }
 
     /// Write one element through the **instrumentation port** (uncharged,
@@ -1052,7 +1082,7 @@ impl DeviceCtx for ThreadCtx<'_> {
     fn telemetry_write<T: DeviceValue>(&mut self, buf: impl AsBuf<T>, idx: usize, value: T) {
         let (id, len) = buf.id_len();
         self.check_bounds(id, len, idx);
-        self.mem.store(id, idx, value.to_bits());
+        self.mem.store::<T>(id, idx, value.to_bits());
     }
 
 }
@@ -1150,7 +1180,7 @@ impl Gpu {
 
     /// Allocate a zero-initialized global buffer of `len` elements.
     pub fn alloc<T: DeviceValue>(&mut self, len: usize) -> Buf<T> {
-        Buf::new(self.pool.alloc(len), len)
+        Buf::new(self.pool.alloc::<T>(len), len)
     }
 
     /// Copy host data into a device buffer (`cudaMemcpyHostToDevice`),
@@ -1160,9 +1190,7 @@ impl Gpu {
     /// Panics if `data.len() != buf.len()`.
     pub fn h2d<T: DeviceValue>(&mut self, buf: Buf<T>, data: &[T]) {
         assert_eq!(data.len(), buf.len, "h2d length mismatch");
-        for (slot, v) in self.pool.global[buf.id].iter_mut().zip(data) {
-            *slot = v.to_bits();
-        }
+        self.pool.slice_mut::<T>(buf.id).copy_from_slice(data);
         let bytes = std::mem::size_of_val(data);
         self.profiler.push(TimelineEvent::Transfer {
             dir: TransferDir::HostToDevice,
@@ -1174,8 +1202,7 @@ impl Gpu {
     /// Copy a device buffer back to the host (`cudaMemcpyDeviceToHost`),
     /// recording the modeled transfer time.
     pub fn d2h<T: DeviceValue>(&mut self, buf: Buf<T>) -> Vec<T> {
-        let out: Vec<T> =
-            self.pool.global[buf.id].iter().map(|&bits| T::from_bits(bits)).collect();
+        let out = self.pool.slice::<T>(buf.id).to_vec();
         let bytes = out.len() * std::mem::size_of::<T>();
         self.profiler.push(TimelineEvent::Transfer {
             dir: TransferDir::DeviceToHost,
@@ -1190,10 +1217,7 @@ impl Gpu {
     /// winning thread's sequence row after the final reduction).
     pub fn d2h_range<T: DeviceValue>(&mut self, buf: Buf<T>, start: usize, len: usize) -> Vec<T> {
         assert!(start + len <= buf.len, "d2h_range out of bounds");
-        let out: Vec<T> = self.pool.global[buf.id][start..start + len]
-            .iter()
-            .map(|&bits| T::from_bits(bits))
-            .collect();
+        let out = self.pool.slice::<T>(buf.id)[start..start + len].to_vec();
         let bytes = len * std::mem::size_of::<T>();
         self.profiler.push(TimelineEvent::Transfer {
             dir: TransferDir::DeviceToHost,
@@ -1207,7 +1231,7 @@ impl Gpu {
     /// debugging aid; real experiments must use [`d2h`](Self::d2h) so the
     /// timing includes the copy, as the paper's speed-ups do).
     pub fn peek<T: DeviceValue>(&self, buf: Buf<T>) -> Vec<T> {
-        self.pool.global[buf.id].iter().map(|&bits| T::from_bits(bits)).collect()
+        self.pool.slice::<T>(buf.id).to_vec()
     }
 
     /// Allocate and fill a constant-memory region.
@@ -1780,6 +1804,63 @@ mod tests {
         gpu.set_fault_plan(None);
         assert_eq!(gpu.peek(buf), host);
         assert_eq!(gpu.fault_stats().bit_flips, 0, "stats reset with the plan");
+    }
+
+    /// Widens a `u32` source into a `u64` destination (the read passes
+    /// through the fault layer).
+    struct WidenK;
+    impl Kernel for WidenK {
+        type Shared = ();
+        type ThreadState = ();
+        fn name(&self) -> &str {
+            "widen"
+        }
+        fn make_shared(&self, _b: usize) {}
+        fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
+            let gid = ctx.global_id();
+            let v: u32 = ctx.read(ctx.arg_buf(0), gid);
+            ctx.write(ctx.arg_buf(1), gid, u64::from(v));
+        }
+    }
+
+    #[test]
+    fn bit_flips_on_u32_reads_land_in_the_low_32_bits() {
+        let mut gpu = Gpu::new(DeviceSpec::gt560m());
+        let src = gpu.alloc::<u32>(64);
+        let host: Vec<u32> = (0..64).map(|i| i * 0x0101_0101).collect();
+        gpu.h2d(src, &host);
+        let out = gpu.alloc::<u64>(64);
+        gpu.set_fault_plan(Some(FaultPlan::with_rates(5, 0.0, 1.0, 0.0)));
+        gpu.launch(&WidenK, LaunchConfig::linear(2, 32), &[src.erased(), out.erased()]).unwrap();
+        // A flip outside the stored 32 bits would vanish on the u32 read;
+        // every read must instead show exactly one flipped low bit.
+        for (c, &h) in gpu.peek(out).iter().zip(&host) {
+            assert_eq!((c ^ u64::from(h)).count_ones(), 1, "exactly one bit flips per read");
+            assert!(*c <= u64::from(u32::MAX));
+        }
+        assert_eq!(gpu.fault_stats().bit_flips, 64);
+        gpu.set_fault_plan(None);
+        assert_eq!(gpu.peek(src), host, "flips are read-side transients");
+    }
+
+    #[test]
+    #[should_panic(expected = "holds 4-byte elements, accessed as 8-byte ones")]
+    fn reading_a_buffer_at_another_width_panics() {
+        struct WideRead;
+        impl Kernel for WideRead {
+            type Shared = ();
+            type ThreadState = ();
+            fn name(&self) -> &str {
+                "wide_read"
+            }
+            fn make_shared(&self, _b: usize) {}
+            fn phase<C: DeviceCtx>(&self, _p: usize, ctx: &mut C, _s: &mut (), _t: &mut ()) {
+                let _: i64 = ctx.read(ctx.arg_buf(0), 0);
+            }
+        }
+        let mut gpu = Gpu::new(DeviceSpec::gt560m());
+        let buf = gpu.alloc::<u32>(4);
+        let _ = gpu.launch(&WideRead, LaunchConfig::linear(1, 1), &[buf.erased()]);
     }
 
     #[test]

@@ -1,21 +1,34 @@
 //! Simulated device memory: global buffers and constant memory.
 //!
-//! Storage is untyped (`u64` bit patterns) behind typed [`Buf<T>`] handles,
-//! mirroring how CUDA device pointers are raw addresses with types applied
-//! by the kernel code.
+//! Each global buffer is stored at its element's own width — 4 bytes per
+//! `u32`, 8 per `i64`/`u64` — behind typed [`Buf<T>`] handles, mirroring
+//! how CUDA device pointers are raw addresses with types applied by the
+//! kernel code. A `Vec<u64>` backs every buffer, so elements of either
+//! width stay aligned.
 
 use std::marker::PhantomData;
 
+mod sealed {
+    pub trait Sealed {}
+}
+
 /// Value types storable in simulated device memory.
-pub trait DeviceValue: Copy + Default + 'static {
-    /// Encode as a 64-bit pattern.
+///
+/// Sealed: every implementor is a plain 4- or 8-byte integer or float for
+/// which every bit pattern is a valid value, which is what lets the native
+/// backend move buffer contents with typed `memcpy`s.
+pub trait DeviceValue: Copy + Default + 'static + sealed::Sealed {
+    /// Encode as a 64-bit pattern (the value's bits in the low
+    /// `8 · size_of::<Self>()` bits).
     fn to_bits(self) -> u64;
-    /// Decode from a 64-bit pattern.
+    /// Decode from a 64-bit pattern (only the low `8 · size_of::<Self>()`
+    /// bits are read).
     fn from_bits(bits: u64) -> Self;
 }
 
 macro_rules! impl_device_value_int {
     ($($t:ty),*) => {$(
+        impl sealed::Sealed for $t {}
         impl DeviceValue for $t {
             #[inline]
             fn to_bits(self) -> u64 { self as u64 }
@@ -24,8 +37,9 @@ macro_rules! impl_device_value_int {
         }
     )*};
 }
-impl_device_value_int!(u8, u16, u32, u64, i8, i16, i32, i64, usize);
+impl_device_value_int!(u32, u64, i32, i64, usize);
 
+impl sealed::Sealed for f64 {}
 impl DeviceValue for f64 {
     #[inline]
     fn to_bits(self) -> u64 {
@@ -37,6 +51,7 @@ impl DeviceValue for f64 {
     }
 }
 
+impl sealed::Sealed for f32 {}
 impl DeviceValue for f32 {
     #[inline]
     fn to_bits(self) -> u64 {
@@ -78,10 +93,12 @@ impl<T> Buf<T> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+}
 
+impl<T: DeviceValue> Buf<T> {
     /// Drop the type for kernel-argument passing.
     pub fn erased(self) -> ErasedBuf {
-        ErasedBuf { id: self.id, len: self.len }
+        ErasedBuf { id: self.id, len: self.len, width: size_of::<T>() }
     }
 }
 
@@ -90,6 +107,8 @@ impl<T> Buf<T> {
 pub struct ErasedBuf {
     pub(crate) id: usize,
     pub(crate) len: usize,
+    /// Element width in bytes the buffer was allocated with.
+    pub(crate) width: usize,
 }
 
 impl ErasedBuf {
@@ -104,7 +123,19 @@ impl ErasedBuf {
     }
 
     /// Re-apply a type (the kernel-side cast of a `void*` argument).
-    pub fn typed<T>(self) -> Buf<T> {
+    ///
+    /// # Panics
+    /// Panics if `T`'s width differs from the width the buffer was
+    /// allocated with: a 4-byte buffer is never reinterpreted as 8 bytes.
+    pub fn typed<T: DeviceValue>(self) -> Buf<T> {
+        assert_eq!(
+            size_of::<T>(),
+            self.width,
+            "buffer {} holds {}-byte elements, not {}-byte ones",
+            self.id,
+            self.width,
+            size_of::<T>()
+        );
         Buf::new(self.id, self.len)
     }
 }
@@ -142,18 +173,66 @@ impl<T> ConstBuf<T> {
     }
 }
 
+/// One global buffer: `len` elements of `width` bytes each, packed into
+/// `⌈len · width / 8⌉` words. The fields stay private to this module, so
+/// the word count always covers `len` elements of `width` bytes.
+#[derive(Debug)]
+pub(crate) struct GlobalBuf {
+    words: Vec<u64>,
+    len: usize,
+    width: usize,
+}
+
+impl GlobalBuf {
+    /// `(base pointer, element count, element width in bytes)`.
+    pub(crate) fn raw_parts(&mut self) -> (*mut u64, usize, usize) {
+        (self.words.as_mut_ptr(), self.len, self.width)
+    }
+
+    /// Check that `T` is the element type buffer `id` (of `width`-byte
+    /// elements) was allocated with.
+    #[inline]
+    pub(crate) fn check_width<T: DeviceValue>(id: usize, width: usize) {
+        assert!(
+            width == size_of::<T>(),
+            "buffer {id} holds {width}-byte elements, accessed as {}-byte ones",
+            size_of::<T>()
+        );
+    }
+}
+
 /// The device's memory: global buffers + constant regions.
 #[derive(Debug, Default)]
 pub(crate) struct MemoryPool {
-    pub(crate) global: Vec<Vec<u64>>,
+    pub(crate) global: Vec<GlobalBuf>,
     pub(crate) constant: Vec<Vec<u64>>,
     pub(crate) constant_bytes: usize,
 }
 
 impl MemoryPool {
-    pub(crate) fn alloc(&mut self, len: usize) -> usize {
-        self.global.push(vec![0u64; len]);
+    /// Allocate a zeroed buffer of `len` elements of `T`'s width.
+    pub(crate) fn alloc<T: DeviceValue>(&mut self, len: usize) -> usize {
+        let width = size_of::<T>();
+        self.global.push(GlobalBuf { words: vec![0u64; (len * width).div_ceil(8)], len, width });
         self.global.len() - 1
+    }
+
+    /// The elements of buffer `id` as a typed slice.
+    pub(crate) fn slice<T: DeviceValue>(&self, id: usize) -> &[T] {
+        let b = &self.global[id];
+        GlobalBuf::check_width::<T>(id, b.width);
+        // SAFETY: the words hold `len` elements of `T`'s width (checked
+        // above), `Vec<u64>` storage is aligned for any `DeviceValue`, and
+        // every bit pattern is a valid `DeviceValue` (the trait is sealed).
+        unsafe { std::slice::from_raw_parts(b.words.as_ptr() as *const T, b.len) }
+    }
+
+    /// The elements of buffer `id` as a mutable typed slice.
+    pub(crate) fn slice_mut<T: DeviceValue>(&mut self, id: usize) -> &mut [T] {
+        let b = &mut self.global[id];
+        GlobalBuf::check_width::<T>(id, b.width);
+        // SAFETY: as in `slice`, plus exclusivity through `&mut self`.
+        unsafe { std::slice::from_raw_parts_mut(b.words.as_mut_ptr() as *mut T, b.len) }
     }
 
     pub(crate) fn alloc_const(&mut self, words: Vec<u64>) -> usize {
@@ -189,15 +268,45 @@ mod tests {
         assert_eq!(e.len(), 10);
         let t: Buf<i64> = e.typed();
         assert_eq!(t, b);
+        // Same width, different type: a legal cast.
+        let _: Buf<u64> = e.typed();
+    }
+
+    #[test]
+    #[should_panic(expected = "holds 4-byte elements")]
+    fn erased_refuses_a_wider_type() {
+        let b: Buf<u32> = Buf::new(0, 10);
+        let _: Buf<i64> = b.erased().typed();
     }
 
     #[test]
     fn pool_allocates_zeroed() {
         let mut p = MemoryPool::default();
-        let id = p.alloc(4);
-        assert_eq!(p.global[id], vec![0u64; 4]);
+        let id = p.alloc::<i64>(4);
+        assert_eq!(p.slice::<i64>(id), &[0i64; 4]);
         let cid = p.alloc_const(vec![1, 2]);
         assert_eq!(p.constant[cid], vec![1, 2]);
         assert_eq!(p.constant_bytes, 16);
+    }
+
+    #[test]
+    fn buffers_are_stored_at_their_own_width() {
+        let mut p = MemoryPool::default();
+        for len in [0usize, 1, 2, 7, 8, 1001] {
+            let a = p.alloc::<u32>(len);
+            assert_eq!(p.global[a].words.len(), len.div_ceil(2), "u32 × {len}");
+            let b = p.alloc::<i64>(len);
+            assert_eq!(p.global[b].words.len(), len, "i64 × {len}");
+            let c = p.alloc::<u64>(len);
+            assert_eq!(p.global[c].words.len(), len, "u64 × {len}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "accessed as 8-byte ones")]
+    fn pool_refuses_a_mismatched_width() {
+        let mut p = MemoryPool::default();
+        let id = p.alloc::<u32>(4);
+        let _ = p.slice::<u64>(id);
     }
 }

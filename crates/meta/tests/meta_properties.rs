@@ -30,12 +30,12 @@ proptest! {
     ) {
         let a = permutation(n, sa);
         let b = permutation(n, sb);
-        let mut out = Vec::new();
-        one_point_crossover(a.as_slice(), b.as_slice(), cut.index(n + 1), &mut out);
+        let (mut present, mut out) = (Vec::new(), Vec::new());
+        one_point_crossover(a.as_slice(), b.as_slice(), cut.index(n + 1), &mut present, &mut out);
         prop_assert!(JobSequence::from_vec(out.clone()).unwrap().is_valid_permutation());
         let (mut l, mut h) = (lo.index(n + 1), hi.index(n + 1));
         if l > h { std::mem::swap(&mut l, &mut h); }
-        two_point_crossover(a.as_slice(), b.as_slice(), l, h, &mut out);
+        two_point_crossover(a.as_slice(), b.as_slice(), l, h, &mut present, &mut out);
         prop_assert!(JobSequence::from_vec(out.clone()).unwrap().is_valid_permutation());
     }
 
@@ -45,10 +45,10 @@ proptest! {
     fn crossover_degenerate_cuts(n in 2usize..40, sa in any::<u64>(), sb in any::<u64>()) {
         let a = permutation(n, sa);
         let b = permutation(n, sb);
-        let mut out = Vec::new();
-        one_point_crossover(a.as_slice(), b.as_slice(), n, &mut out);
+        let (mut present, mut out) = (Vec::new(), Vec::new());
+        one_point_crossover(a.as_slice(), b.as_slice(), n, &mut present, &mut out);
         prop_assert_eq!(&out[..], a.as_slice());
-        one_point_crossover(a.as_slice(), b.as_slice(), 0, &mut out);
+        one_point_crossover(a.as_slice(), b.as_slice(), 0, &mut present, &mut out);
         prop_assert_eq!(&out[..], b.as_slice());
     }
 

@@ -49,6 +49,8 @@ fn main() {
     let trace_out = args.get("trace-out").map(PathBuf::from);
     let fleet_metrics_out = args.get("fleet-metrics-out").map(PathBuf::from);
     let opts = ClientOptions { trace: args.flag("trace") || trace_out.is_some() };
+    let send_shutdown = args.flag("shutdown");
+    args.finish();
 
     let entries = workload::load(&workload_path).expect("workload file readable");
     let started = std::time::Instant::now();
@@ -112,7 +114,7 @@ fn main() {
         out.display()
     );
 
-    if args.flag("shutdown") {
+    if send_shutdown {
         shutdown(&addr).expect("shutdown acknowledged");
         println!("cdd-client: shutdown delivered to {addr}");
     }

@@ -49,6 +49,7 @@ fn main() {
         .get("metrics-out")
         .map(PathBuf::from)
         .unwrap_or_else(|| results_dir().join("node_metrics.prom"));
+    args.finish();
 
     let handle = serve(config).expect("bind node listener");
     println!("cdd-node listening on {}", handle.addr);

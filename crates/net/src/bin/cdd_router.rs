@@ -34,12 +34,14 @@ fn main() {
         backoff_base_ms: args.get_or("backoff", 10u64),
         forward_shutdown: !args.flag("no-forward-shutdown"),
     };
+    let metrics_out = args.get("metrics-out").map(std::path::PathBuf::from);
+    args.finish();
     let handle = serve(config).expect("bind router listener");
     println!("cdd-router listening on {}", handle.addr);
     std::io::stdout().flush().expect("flush stdout");
 
     let report = handle.join();
-    if let Some(out) = args.get("metrics-out").map(std::path::PathBuf::from) {
+    if let Some(out) = metrics_out {
         if let Some(dir) = out.parent() {
             std::fs::create_dir_all(dir).expect("metrics dir");
         }

@@ -60,6 +60,7 @@ fn main() {
     let window = args.get_or("window", 8usize);
     let shard_counts = args.get_list_or("shards", &[1usize, 2, 3]);
     let out = args.get("out").unwrap_or("BENCH_pr7.json").to_string();
+    args.finish();
 
     let entries = generate_mixed_tenants(requests, seed, iterations, &sizes, tenants);
     let mut per_tenant: BTreeMap<String, usize> = BTreeMap::new();

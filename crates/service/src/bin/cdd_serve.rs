@@ -175,14 +175,12 @@ fn summary_json(report: &ServiceReport, requests: usize, sim_threads: &str) -> S
 fn main() {
     let args = Args::parse();
     let seed = args.get_or("seed", 2016u64);
+    let requests = args.get_or("requests", 64usize);
+    let iterations = args.get_or("iterations", 150u64);
+    let sizes = args.get_list_or("sizes", &[10usize, 20]);
     let entries = match args.get("workload") {
         Some(path) => load(Path::new(path)).expect("workload file readable"),
-        None => generate_mixed(
-            args.get_or("requests", 64usize),
-            seed,
-            args.get_or("iterations", 150u64),
-            &args.get_list_or("sizes", &[10usize, 20]),
-        ),
+        None => generate_mixed(requests, seed, iterations, &sizes),
     };
     let devices = args.get_or("devices", 2usize).max(1);
 
@@ -209,7 +207,9 @@ fn main() {
 
     // Trace capture costs memory proportional to kernel launches, so it is
     // only enabled when a trace output was actually requested.
-    let capture_trace = args.get("trace-out").is_some() || args.get("trace-jsonl").is_some();
+    let trace_out = args.get("trace-out").map(PathBuf::from);
+    let trace_jsonl = args.get("trace-jsonl").map(PathBuf::from);
+    let capture_trace = trace_out.is_some() || trace_jsonl.is_some();
 
     let sim_threads = sim_parallelism_from_args(&args);
     // --backend native runs kernels directly on host threads (no modeled
@@ -248,6 +248,13 @@ fn main() {
     config.device_spec.parallelism = sim_threads;
     let deadline_ms: Option<u64> = args.get("deadline-ms").map(|s| s.parse().expect("--deadline-ms: milliseconds"));
     let window = args.get_or("window", 4 * devices).max(1);
+    let detail_path =
+        args.get("detail").map(PathBuf::from).unwrap_or_else(|| results_dir().join("serve_requests.csv"));
+    let summary_path =
+        args.get("summary").map(PathBuf::from).unwrap_or_else(|| results_dir().join("serve_summary.json"));
+    let metrics_out = args.get("metrics-out").map(PathBuf::from);
+    let metrics_json = args.get("metrics-json").map(PathBuf::from);
+    args.finish();
 
     eprintln!(
         "cdd-serve: {} requests over {} devices ({}x{} geometry), window {window}, \
@@ -322,30 +329,30 @@ fn main() {
             entry.priority.to_string(),
         ]);
     }
-    let detail_path =
-        args.get("detail").map(PathBuf::from).unwrap_or_else(|| results_dir().join("serve_requests.csv"));
     write_csv(&detail, &detail_path).expect("detail CSV writable");
 
     let json = summary_json(&report, entries.len(), &sim_threads.to_string());
-    let summary_path =
-        args.get("summary").map(PathBuf::from).unwrap_or_else(|| results_dir().join("serve_summary.json"));
     write_text(&summary_path, &json, "summary");
 
     // Optional metrics / trace exports. The `service_`-prefixed lines of
     // the Prometheus snapshot are timing-independent counters and compare
     // byte-identical across runs of the same workload + fault config.
-    if let Some(path) = args.get("metrics-out") {
-        write_text(Path::new(path), &report.metrics.render_prometheus(), "metrics snapshot");
+    if let Some(path) = &metrics_out {
+        write_text(path, &report.metrics.render_prometheus(), "metrics snapshot");
     }
-    if let Some(path) = args.get("metrics-json") {
-        write_text(Path::new(path), &report.metrics.render_json(), "metrics JSON");
+    if let Some(path) = &metrics_json {
+        write_text(path, &report.metrics.render_json(), "metrics JSON");
     }
-    if let Some(path) = args.get("trace-out") {
-        write_text(Path::new(path), &report.trace.render_chrome_json(), "trace JSON");
-        eprintln!("trace: {path} ({} events; load in chrome://tracing or ui.perfetto.dev)", report.trace.len());
+    if let Some(path) = &trace_out {
+        write_text(path, &report.trace.render_chrome_json(), "trace JSON");
+        eprintln!(
+            "trace: {} ({} events; load in chrome://tracing or ui.perfetto.dev)",
+            path.display(),
+            report.trace.len()
+        );
     }
-    if let Some(path) = args.get("trace-jsonl") {
-        write_text(Path::new(path), &report.trace.render_jsonl(), "trace JSONL");
+    if let Some(path) = &trace_jsonl {
+        write_text(path, &report.trace.render_jsonl(), "trace JSONL");
     }
 
     println!(

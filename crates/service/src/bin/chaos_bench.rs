@@ -93,6 +93,7 @@ fn main() {
     let rates = args.get_list_or("crash-rates", &[0.0f64, 0.05, 0.20]);
     let horizon = args.get_or("crash-horizon", 16u64);
     let out = args.get("out").unwrap_or("BENCH_pr6.json").to_string();
+    args.finish();
 
     let entries = generate_mixed(requests, seed, iterations, &sizes);
     eprintln!(
